@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-json lint-fast bench bench-cached bench-fanout bench-quick bench-compare alloc-pins serve serve-smoke cluster-smoke screeners-smoke check
+.PHONY: build test race vet fmt lint lint-json lint-fast bench bench-cached bench-fanout bench-quick bench-compare alloc-pins bench-identity serve serve-smoke cluster-smoke screeners-smoke check
 
 ## build: compile every package
 build:
@@ -86,12 +86,22 @@ bench-compare:
 		echo "--- new (worktree) ---"; grep '^Benchmark' /tmp/farron-bench-new.txt; \
 	fi
 
-## alloc-pins: the zero-allocation regression pins (run twice to shake out
+## alloc-pins: the allocation regression pins (run twice to shake out
 ## warm-up effects) — the compiled run path, the per-round screening walk
-## and the columnar stats reductions must stay allocation-free
+## and the columnar stats reductions must stay allocation-free, Farron's
+## online loop must not allocate more for a longer run, and a regular
+## round's bytes must not grow with its SDC count
 alloc-pins:
-	$(GO) test -run 'TestRunStepAllocs|TestScreenCPUAllocs|TestStatsColumnarAllocs|TestPlanDetectAllocs' \
-		-count=2 ./internal/testkit ./internal/fleet ./internal/stats
+	$(GO) test -run 'TestRunStepAllocs|TestScreenCPUAllocs|TestStatsColumnarAllocs|TestPlanDetectAllocs|TestOnlineAllocs|TestRegularRoundBytesIndependentOfSDCs' \
+		-count=2 ./internal/testkit ./internal/fleet ./internal/stats ./internal/core
+
+## bench-identity: the paper-scale report must regenerate byte-identical to
+## the committed bench_report.txt — the guard for every hot-path change
+bench-identity:
+	$(GO) build -o /tmp/sdcbench ./cmd/sdcbench
+	/tmp/sdcbench -n 1000000 -o /tmp/bench_report.txt
+	cmp /tmp/bench_report.txt bench_report.txt
+	@echo "bench-identity: bench_report.txt regenerates byte-identical"
 
 ## serve: run the continuous screening service with its status API on
 ## :8731, one virtual day per wall second (ctrl-C shuts down cleanly)

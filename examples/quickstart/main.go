@@ -34,7 +34,7 @@ func main() {
 		farron.DefectFeatures(profile), nil)
 	rep := mit.PreProduction()
 	fmt.Printf("pre-production: %d failing testcases, %d SDC records, max temp %.1f degC\n",
-		len(rep.DetectedTestcases), len(rep.Records), rep.MaxTempC)
+		len(rep.DetectedTestcases), rep.SDCs, rep.MaxTempC)
 	fmt.Printf("state: %v, masked cores: %d, active cores: %d\n",
 		mit.State(), proc.MaskedCount(), len(proc.ActiveCores()))
 

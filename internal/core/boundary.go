@@ -6,10 +6,7 @@
 // baseline strategy it is evaluated against.
 package core
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // Action is the boundary controller's verdict for one temperature sample.
 type Action int
@@ -133,7 +130,7 @@ func (b *Boundary) Record(tempC float64) Action {
 	// More than half the window above the boundary: this is the
 	// application's normal operating temperature — learn it.
 	if exceed*2 > n && b.current < b.cfg.MaxC {
-		b.current = math.Min(b.current+b.cfg.RaiseStepC, b.cfg.MaxC)
+		b.current = min(b.current+b.cfg.RaiseStepC, b.cfg.MaxC)
 		b.raises++
 		// Re-examine with the raised boundary; a single raise step is
 		// at most one adaptation per sample by design (iterative

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"farron/internal/defect"
 	"farron/internal/model"
 	"farron/internal/simrand"
 	"farron/internal/testkit"
@@ -81,18 +82,22 @@ type RoundReport struct {
 	Duration time.Duration
 	// MaxTempC is the hottest core temperature reached while testing.
 	MaxTempC float64
-	// Records carries every SDC observed.
-	Records []model.SDCRecord
+	// SDCs counts the SDC records the round's runs produced.
+	SDCs int
 }
 
-func newRoundReport() *RoundReport {
+// NewRoundReport returns an empty round report ready to Absorb runs.
+func NewRoundReport() *RoundReport {
 	return &RoundReport{
 		DetectedTestcases: map[string]bool{},
 		FailedCores:       map[int]bool{},
 	}
 }
 
-func (r *RoundReport) absorb(res testkit.RunResult) {
+// Absorb folds one run into the report. It reads the run's records in
+// place and keeps only counts, so it copies nothing out of the runner's
+// arena.
+func (r *RoundReport) Absorb(res testkit.RunResult) {
 	r.Duration += res.Duration
 	if res.MaxTempC > r.MaxTempC {
 		r.MaxTempC = res.MaxTempC
@@ -111,9 +116,7 @@ func (r *RoundReport) absorb(res testkit.RunResult) {
 			}
 		}
 	}
-	// Row values are copied out of the run's arena, so the report owns
-	// its records.
-	r.Records = append(r.Records, res.Records...)
+	r.SDCs += len(res.Records)
 }
 
 // Coverage returns the fraction of known errors (failing testcases) the
@@ -189,7 +192,7 @@ func (f *Farron) Entry() *PoolEntry { return f.entry }
 // testcases become suspected; failing cores go through the decommission
 // policy. The processor transitions to Online (or Deprecated).
 func (f *Farron) PreProduction() *RoundReport {
-	rep := newRoundReport()
+	rep := NewRoundReport()
 	cores := f.entry.ReliableCores()
 	if len(cores) == 0 {
 		f.state = StateDeprecated
@@ -200,7 +203,7 @@ func (f *Farron) PreProduction() *RoundReport {
 			Duration: f.cfg.PreProdPerTestcase,
 			BurnIn:   true,
 		})
-		rep.absorb(res)
+		rep.Absorb(res)
 		if res.Failed {
 			f.planner.MarkSuspected(tc.ID)
 		}
@@ -219,7 +222,7 @@ func (f *Farron) PreProduction() *RoundReport {
 // (scaled by the adaptive boundary), the rest best-effort. A detection
 // moves the workflow to Suspected.
 func (f *Farron) RegularRound() *RoundReport {
-	rep := newRoundReport()
+	rep := NewRoundReport()
 	cores := f.entry.ReliableCores()
 	if len(cores) == 0 {
 		f.state = StateDeprecated
@@ -230,7 +233,7 @@ func (f *Farron) RegularRound() *RoundReport {
 			Duration: alloc.Duration,
 			BurnIn:   !f.cfg.DisableBurnIn,
 		})
-		rep.absorb(res)
+		rep.Absorb(res)
 		if res.Failed {
 			f.planner.MarkSuspected(alloc.Testcase.ID)
 		}
@@ -247,7 +250,7 @@ func (f *Farron) RegularRound() *RoundReport {
 // testcases). Failing cores are masked or the processor deprecated; the
 // survivor returns Online.
 func (f *Farron) TargetedValidation() *RoundReport {
-	rep := newRoundReport()
+	rep := NewRoundReport()
 	suspected := f.planner.SuspectedIDs()
 	for _, core := range f.entry.ReliableCores() {
 		for _, id := range suspected {
@@ -256,7 +259,7 @@ func (f *Farron) TargetedValidation() *RoundReport {
 				Duration: f.cfg.TargetedPerTestcase,
 				BurnIn:   true,
 			})
-			rep.absorb(res)
+			rep.Absorb(res)
 		}
 	}
 	f.applyCoreFailures(rep)
@@ -343,31 +346,33 @@ const onlineTick = 10 * time.Second
 // It returns backoff accounting and the SDC count the application absorbed.
 func (f *Farron) Online(dur time.Duration, app AppProfile, protect bool, rng *simrand.Source) OnlineReport {
 	var rep OnlineReport
-	cores := f.entry.ReliableCores()
+	cores := f.appCores(app)
 	if len(cores) == 0 {
 		return rep
 	}
-	if app.Cores > 0 && app.Cores < len(cores) {
-		// Prefer placing the app on defective-but-undetected cores:
-		// the adversarial case temperature control must protect.
-		chosen := make([]int, 0, app.Cores)
-		for _, c := range cores {
-			if f.runner.Processor().CoreDefective(c) {
-				chosen = append(chosen, c)
-			}
-		}
-		for _, c := range cores {
-			if len(chosen) >= app.Cores {
-				break
-			}
-			if !f.runner.Processor().CoreDefective(c) {
-				chosen = append(chosen, c)
-			}
-		}
-		cores = chosen[:app.Cores]
-	}
 	pkg := f.runner.Thermal()
-	proc := f.runner.Processor()
+
+	// Compile the SDC exposure walk once: one rate entry per (defect,
+	// app core) pair in the naive order, defects outer. Pairs with a zero
+	// core multiplier are dropped — their rate is identically zero and
+	// Poisson(0) consumes no draw — and each entry owns its kernel memo.
+	type exposure struct {
+		core int // index into cores and temps
+		bm   float64
+		rate defect.RateKernel
+	}
+	defects := f.runner.Processor().Defects()
+	exps := make([]exposure, 0, len(defects)*len(cores))
+	for _, d := range defects {
+		k := d.RateKernel()
+		for i, c := range cores {
+			if m := d.CoreMultiplier(c); m != 0 {
+				exps = append(exps, exposure{core: i, bm: d.BaseFreqPerMin * m, rate: k})
+			}
+		}
+	}
+	temps := make([]float64, len(cores))
+	minutes := onlineTick.Minutes()
 	pkg.ClearLoads()
 
 	burstLeft := 0
@@ -394,9 +399,10 @@ func (f *Farron) Online(dur time.Duration, app AppProfile, protect bool, rng *si
 
 		// Hottest reliable core drives the controller.
 		var temp float64
-		for _, c := range cores {
-			if t := pkg.CoreTempC(c); t > temp {
-				temp = t
+		for i, c := range cores {
+			temps[i] = pkg.CoreTempC(c)
+			if temps[i] > temp {
+				temp = temps[i]
 			}
 		}
 		action := ActionNone
@@ -409,18 +415,42 @@ func (f *Farron) Online(dur time.Duration, app AppProfile, protect bool, rng *si
 		// SDC exposure: each defect on a reliable core fires at its
 		// rate under the application's stress and the current
 		// temperature.
-		minutes := onlineTick.Minutes()
-		for _, d := range proc.Defects() {
-			for _, c := range cores {
-				rate := d.RatePerMin(c, pkg.CoreTempC(c), app.Stress*util)
-				rep.SDCs += rng.Poisson(rate * minutes)
-			}
+		stress := app.Stress * util
+		for i := range exps {
+			e := &exps[i]
+			rep.SDCs += rng.Poisson(e.rate.Rate(e.bm, temps[e.core], stress) * minutes)
 		}
 	}
 	pkg.ClearLoads()
 	rep.BoundaryFinalC = f.boundary.Current()
 	rep.BoundaryRaises = f.boundary.Raises()
 	return rep
+}
+
+// appCores returns the reliable cores the application occupies.
+func (f *Farron) appCores(app AppProfile) []int {
+	cores := f.entry.ReliableCores()
+	if app.Cores <= 0 || app.Cores >= len(cores) {
+		return cores
+	}
+	// Prefer placing the app on defective-but-undetected cores: the
+	// adversarial case temperature control must protect.
+	proc := f.runner.Processor()
+	chosen := make([]int, 0, app.Cores)
+	for _, c := range cores {
+		if proc.CoreDefective(c) {
+			chosen = append(chosen, c)
+		}
+	}
+	for _, c := range cores {
+		if len(chosen) >= app.Cores {
+			break
+		}
+		if !proc.CoreDefective(c) {
+			chosen = append(chosen, c)
+		}
+	}
+	return chosen[:app.Cores]
 }
 
 // Baseline is the existing Alibaba Cloud strategy (Section 7): every three
@@ -442,7 +472,7 @@ func NewBaseline(runner *testkit.Runner, perTestcase time.Duration) *Baseline {
 // RegularRound runs one baseline round and reports detections. Any
 // detection means the processor is deprecated whole.
 func (b *Baseline) RegularRound() *RoundReport {
-	rep := newRoundReport()
+	rep := NewRoundReport()
 	proc := b.runner.Processor()
 	nCores := proc.PhysCores
 	perCore := b.PerTestcase / time.Duration(nCores)
@@ -455,7 +485,7 @@ func (b *Baseline) RegularRound() *RoundReport {
 				Core:     c,
 				Duration: perCore,
 			})
-			rep.absorb(res)
+			rep.Absorb(res)
 		}
 	}
 	if len(rep.DetectedTestcases) > 0 {

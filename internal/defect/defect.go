@@ -176,19 +176,69 @@ func (d *Defect) CoreMultiplier(idx int) float64 {
 // usage stress (1 = nominal heavy usage of the defective instructions;
 // several orders of magnitude lower for workloads that touch them rarely).
 func (d *Defect) RatePerMin(idx int, tempC, stress float64) float64 {
+	// Below the trigger the rate is zero on every core: skip the lookup.
 	if tempC < d.MinTempC || stress <= 0 {
 		return 0
 	}
-	m := d.CoreMultiplier(idx)
-	if m == 0 {
+	c := d.RateCurve()
+	return c.Rate(d.BaseFreqPerMin*d.CoreMultiplier(idx), tempC, stress)
+}
+
+// RateCurve is the temperature response of λ(T, stress) with the defect's
+// constants hoisted: the one formula RatePerMin, the compiled hot paths and
+// the detection plans all evaluate. It is pure and safe to share.
+type RateCurve struct {
+	minTempC, slope, sat float64
+}
+
+// RateCurve compiles the defect's temperature response.
+func (d *Defect) RateCurve() RateCurve {
+	return RateCurve{minTempC: d.MinTempC, slope: d.TempSlope, sat: d.satDecades()}
+}
+
+// Rate returns RatePerMin's value for a core whose leading factor is
+// bm = BaseFreqPerMin·CoreMultiplier(core). It evaluates
+// ((bm·10^expo)·stress) in RatePerMin's association, so the result is
+// bit-identical, not just mathematically equal.
+func (c *RateCurve) Rate(bm, tempC, stress float64) float64 {
+	if tempC < c.minTempC || stress <= 0 || bm == 0 {
 		return 0
 	}
-	expo := d.TempSlope * (tempC - d.MinTempC)
-	if sat := d.satDecades(); expo > sat {
-		expo = sat
+	return min(bm*math.Pow(10, c.exponent(tempC))*stress, MaxFreqPerMin)
+}
+
+// exponent returns the saturated decades above the trigger at tempC.
+func (c *RateCurve) exponent(tempC float64) float64 {
+	return min(c.slope*(tempC-c.minTempC), c.sat)
+}
+
+// RateKernel is a RateCurve with a one-entry memo of the 10^expo factor:
+// a hot loop whose temperature saturates or repeats skips math.Pow. A hit
+// needs an equal exponent and returns the bits Pow returned for it, so
+// Rate stays bit-identical to RateCurve.Rate. The memo makes a kernel
+// mutable: keep one per goroutine (a runner arena, a loop-local slice),
+// never in shared or frozen state.
+type RateKernel struct {
+	curve RateCurve
+	// expo and pow are the memo, pow == math.Pow(10, expo). The initial
+	// entry is exact because math.Pow(10, 0) == 1.
+	expo, pow float64
+}
+
+// RateKernel compiles the defect's memoized rate kernel.
+func (d *Defect) RateKernel() RateKernel {
+	return RateKernel{curve: d.RateCurve(), pow: 1}
+}
+
+// Rate is RateCurve.Rate through the memo.
+func (k *RateKernel) Rate(bm, tempC, stress float64) float64 {
+	if tempC < k.curve.minTempC || stress <= 0 || bm == 0 {
+		return 0
 	}
-	rate := d.BaseFreqPerMin * m * math.Pow(10, expo) * stress
-	return math.Min(rate, MaxFreqPerMin)
+	if expo := k.curve.exponent(tempC); expo != k.expo {
+		k.expo, k.pow = expo, math.Pow(10, expo)
+	}
+	return min(bm*k.pow*stress, MaxFreqPerMin)
 }
 
 // satDecades returns the effective saturation (default 3.5 decades).
@@ -198,11 +248,6 @@ func (d *Defect) satDecades() float64 {
 	}
 	return 3.5
 }
-
-// EffectiveSatDecades exposes the saturation ceiling RatePerMin applies —
-// SatDecades, or the generous default when unset — so detection-plan
-// compilers can precompute the rate coefficients bit-identically.
-func (d *Defect) EffectiveSatDecades() float64 { return d.satDecades() }
 
 // ObservedMinTemp returns the setting-level minimum triggering temperature:
 // the lowest core temperature at which the setting's occurrence frequency

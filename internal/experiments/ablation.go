@@ -83,10 +83,7 @@ func coldPrioritizedRound(r *testkit.Runner, p *defect.Profile, active []string)
 	for _, id := range active {
 		planner.MarkActive(id)
 	}
-	rep := &core.RoundReport{
-		DetectedTestcases: map[string]bool{},
-		FailedCores:       map[int]bool{},
-	}
+	rep := core.NewRoundReport()
 	cores := r.Processor().ActiveCores()
 	for _, alloc := range planner.Plan(1) {
 		per := alloc.Duration / time.Duration(len(cores))
@@ -94,46 +91,21 @@ func coldPrioritizedRound(r *testkit.Runner, p *defect.Profile, active []string)
 			per = time.Second
 		}
 		for _, c := range cores {
-			absorbAblation(rep, r.Run(alloc.Testcase, testkit.RunOpts{Core: c, Duration: per}))
+			rep.Absorb(r.Run(alloc.Testcase, testkit.RunOpts{Core: c, Duration: per}))
 		}
 	}
 	return rep
-}
-
-// absorbAblation folds one run into an ablation round report, scanning the
-// columnar core column when the compiled path provides it.
-func absorbAblation(rep *core.RoundReport, res testkit.RunResult) {
-	rep.Duration += res.Duration
-	if res.MaxTempC > rep.MaxTempC {
-		rep.MaxTempC = res.MaxTempC
-	}
-	if !res.Failed {
-		return
-	}
-	rep.DetectedTestcases[res.TestcaseID] = true
-	if cols := res.Columns; cols != nil {
-		for _, c := range cols.Core {
-			rep.FailedCores[c] = true
-		}
-		return
-	}
-	for _, rec := range res.Records {
-		rep.FailedCores[rec.Core] = true
-	}
 }
 
 // equalDurationRound spends roughly Farron's one-hour budget spread equally
 // over all 633 testcases with burn-in — prioritization ablated, everything
 // else kept.
 func equalDurationRound(r *testkit.Runner, cfg core.Config) *core.RoundReport {
-	rep := &core.RoundReport{
-		DetectedTestcases: map[string]bool{},
-		FailedCores:       map[int]bool{},
-	}
+	rep := core.NewRoundReport()
 	per := time.Hour / time.Duration(testkit.SuiteSize)
 	cores := r.Processor().ActiveCores()
 	for _, tc := range r.Suite().Testcases {
-		absorbAblation(rep, r.RunParallel(tc, cores, testkit.RunOpts{
+		rep.Absorb(r.RunParallel(tc, cores, testkit.RunOpts{
 			Duration: per,
 			BurnIn:   !cfg.DisableBurnIn,
 		}))

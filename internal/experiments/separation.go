@@ -28,7 +28,10 @@ type SeparationResult struct {
 	Core        int
 	TestcaseID  string
 	TempC       float64
-	Points      []SeparationPoint
+	// NoProbe reports that the seed's suite has no single-threaded
+	// testcase that can sweep the defect, so the experiment did not run.
+	NoProbe bool
+	Points  []SeparationPoint
 	// UtilFreqCorrelation is Pearson r between utilization and
 	// frequency.
 	UtilFreqCorrelation float64
@@ -62,7 +65,7 @@ func Separation(ctx *Context) (*SeparationResult, error) {
 		}
 	}
 	if tc == nil {
-		return nil, fmt.Errorf("experiments: no sweepable testcase for %s", id)
+		return &SeparationResult{ProcessorID: id, Core: core, NoProbe: true}, nil
 	}
 	stress := testkit.SettingStress(tc, d)
 	// A temperature comfortably above the setting's threshold so the
@@ -109,6 +112,12 @@ func Separation(ctx *Context) (*SeparationResult, error) {
 
 // Render draws the separation table.
 func (r *SeparationResult) Render() string {
+	if r.NoProbe {
+		return fmt.Sprintf("Section 5 separation — %s pcore%d: not run at this seed\n"+
+			"no single-threaded failing testcase detects %s's defect with an observed trigger at or below 80 degC,\n"+
+			"so no probe can hold temperature while other cores add utilization\n",
+			r.ProcessorID, r.Core, r.ProcessorID)
+	}
 	t := report.NewTable(
 		fmt.Sprintf("Section 5 separation — %s pcore%d %s at pinned %.0f degC",
 			r.ProcessorID, r.Core, r.TestcaseID, r.TempC),

@@ -63,3 +63,18 @@ func TestAttributionFindsSuspects(t *testing.T) {
 		t.Error("render malformed")
 	}
 }
+
+// At seed 127 no single-threaded testcase can sweep FPU2's defect. The
+// entry must say so instead of failing the registry.
+func TestSeparationWithoutProbe(t *testing.T) {
+	res, err := Separation(NewContext(127))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.NoProbe || len(res.Points) != 0 {
+		t.Fatalf("NoProbe = %v with %d points, want a plain no-probe result", res.NoProbe, len(res.Points))
+	}
+	if out := res.Render(); !strings.Contains(out, "not run at this seed") {
+		t.Errorf("render does not say the experiment did not run:\n%s", out)
+	}
+}

@@ -140,8 +140,7 @@ func (t *ithicaScreener) NewScreen(serial string, arch model.MicroArch) Screen {
 			}
 			entries = append(entries, planEntry{
 				bm: ck.d.BaseFreqPerMin * m, stress: ck.stress,
-				minTempC: ck.d.MinTempC, slope: ck.d.TempSlope,
-				sat: ck.d.EffectiveSatDecades(),
+				curve: ck.d.RateCurve(),
 			})
 		}
 		is.plan = detectionPlan{entries: entries}

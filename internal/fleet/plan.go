@@ -19,15 +19,15 @@ import (
 // planEntry is one (testcase, defect) setting that can consume a detection
 // draw: positive stress and a positive multiplier on the defect's best
 // core. bm is BaseFreqPerMin·CoreMultiplier(bestCore) — the leading factor
-// of Defect.RatePerMin in its exact association, so compiled rates are
-// bit-identical to the naive ones.
+// of Defect.RatePerMin in its exact association — and curve is the
+// defect's pure rate curve, so compiled rates are bit-identical to the
+// naive ones. The curve carries no memo: plans are frozen and silifuzz
+// corpus plans are read concurrently.
 type planEntry struct {
-	tcID     string
-	bm       float64
-	stress   float64
-	minTempC float64
-	slope    float64
-	sat      float64
+	tcID   string
+	bm     float64
+	stress float64
+	curve  defect.RateCurve
 }
 
 // detectionPlan is a faulty CPU's compiled screening plan, in the naive
@@ -51,7 +51,7 @@ func (s *Simulator) compilePlan(p *defect.Profile, failing []*testkit.Testcase) 
 			continue
 		}
 		bm := d.BaseFreqPerMin * m
-		sat := d.EffectiveSatDecades()
+		curve := d.RateCurve()
 		for _, tc := range failing {
 			if !testkit.DetectableBy(tc, d) {
 				continue
@@ -61,8 +61,7 @@ func (s *Simulator) compilePlan(p *defect.Profile, failing []*testkit.Testcase) 
 				continue
 			}
 			entries = append(entries, planEntry{
-				tcID: tc.ID, bm: bm, stress: stress,
-				minTempC: d.MinTempC, slope: d.TempSlope, sat: sat,
+				tcID: tc.ID, bm: bm, stress: stress, curve: curve,
 			})
 		}
 	}
@@ -76,14 +75,7 @@ func (pl detectionPlan) detect(rng *simrand.Source, sp StageProfile) (string, bo
 	temp := rng.Norm(sp.MeanTempC, sp.TempSpreadC)
 	for i := range pl.entries {
 		e := &pl.entries[i]
-		if temp < e.minTempC {
-			continue
-		}
-		expo := e.slope * (temp - e.minTempC)
-		if expo > e.sat {
-			expo = e.sat
-		}
-		rate := math.Min(e.bm*math.Pow(10, expo)*e.stress, defect.MaxFreqPerMin)
+		rate := e.curve.Rate(e.bm, temp, e.stress)
 		if rate <= 0 {
 			continue
 		}

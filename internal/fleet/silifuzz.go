@@ -230,9 +230,9 @@ type siliScreen struct {
 // BaseFreqPerMin·CoreMultiplier(bestCore), exactly planEntry's leading
 // factor.
 type siliDefectCoef struct {
-	d   *defect.Defect
-	bm  float64
-	sat float64
+	d     *defect.Defect
+	bm    float64
+	curve defect.RateCurve
 }
 
 // compileCoefs builds the per-defect coefficient table, dropping defects
@@ -247,7 +247,7 @@ func (ss *siliScreen) compileCoefs() {
 			continue
 		}
 		ss.coefs = append(ss.coefs, siliDefectCoef{
-			d: d, bm: d.BaseFreqPerMin * m, sat: d.EffectiveSatDecades(),
+			d: d, bm: d.BaseFreqPerMin * m, curve: d.RateCurve(),
 		})
 	}
 }
@@ -270,8 +270,7 @@ func (ss *siliScreen) compilePlan(prev []planEntry) detectionPlan {
 				continue
 			}
 			entries = append(entries, planEntry{
-				tcID: e.tc.ID, bm: c.bm, stress: stress,
-				minTempC: c.d.MinTempC, slope: c.d.TempSlope, sat: c.sat,
+				tcID: e.tc.ID, bm: c.bm, stress: stress, curve: c.curve,
 			})
 		}
 	}

@@ -32,6 +32,11 @@ type Source struct {
 	// draws; only the raw generator state runs ahead by the unserved tail.
 	block []uint64
 	bpos  int
+	// poisMean and poisL memoize Poisson's math.Exp(-mean) for the last
+	// small mean: hot loops repeat their means, and a hit needs an equal
+	// mean, so the bits are Exp's own. The zero value never hits (Poisson
+	// only looks up positive means).
+	poisMean, poisL float64
 }
 
 // New returns a Source seeded with seed.
@@ -279,7 +284,10 @@ func (s *Source) Poisson(mean float64) int {
 		return 0
 	}
 	if mean < 30 {
-		l := math.Exp(-mean)
+		if mean != s.poisMean {
+			s.poisMean, s.poisL = mean, math.Exp(-mean)
+		}
+		l := s.poisL
 		k := 0
 		p := 1.0
 		for {

@@ -300,3 +300,53 @@ func TestMul64(t *testing.T) {
 		t.Errorf("mul64(2^32,2^32): hi=%x lo=%x", hi, lo)
 	}
 }
+
+// poissonOracle is Poisson as written before its exp(−mean) was memoized.
+func poissonOracle(s *Source, mean float64) int {
+	if mean <= 0 {
+		return 0
+	}
+	if mean < 30 {
+		l := math.Exp(-mean)
+		k := 0
+		p := 1.0
+		for {
+			p *= s.Float64()
+			if p <= l {
+				return k
+			}
+			k++
+		}
+	}
+	n := s.Norm(mean, math.Sqrt(mean))
+	if n < 0 {
+		return 0
+	}
+	return int(n + 0.5)
+}
+
+// The memoized Poisson must draw exactly what an unmemoized one draws from
+// the same state, over repeated, alternating and degenerate means, and
+// leave the stream where the unmemoized one leaves it.
+func TestPoissonMemoMatchesFreshSource(t *testing.T) {
+	means := []float64{0.5, 0.5, 0.5, 2, 0.5, 2, 2, 1e-9, 29.99, 30, 45, 45, 0, -3, 7.25, 7.25, 0.5}
+	memo, oracle := New(11), New(11)
+	for round := 0; round < 50; round++ {
+		for _, m := range means {
+			fresh := *memo
+			fresh.poisMean, fresh.poisL = 0, 0
+			got, want := memo.Poisson(m), fresh.Poisson(m)
+			if o := poissonOracle(oracle, m); got != want || got != o {
+				t.Fatalf("round %d mean %v: memoized %d, fresh %d, oracle %d", round, m, got, want, o)
+			}
+			if memo.state != fresh.state || memo.hasSpare != fresh.hasSpare || memo.spare != fresh.spare {
+				t.Fatalf("round %d mean %v: memoized stream state diverged from a fresh source", round, m)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ {
+		if a, b := memo.Uint64(), oracle.Uint64(); a != b {
+			t.Fatalf("draw %d after the sequence: memoized %#x, oracle %#x", i, a, b)
+		}
+	}
+}

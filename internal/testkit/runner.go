@@ -2,7 +2,6 @@ package testkit
 
 import (
 	"maps"
-	"math"
 	"time"
 
 	"farron/internal/cpu"
@@ -172,15 +171,14 @@ func commonDataTypes(tc *Testcase, d *defect.Defect) []model.DataType {
 // (common datatypes, context instructions, the setting's pattern
 // probability) hoisted out of the step loop. bms[c] is
 // BaseFreqPerMin·CoreMultiplier(c) indexed by physical core id — the
-// leading factor of Defect.RatePerMin in its exact association, so
-// compiled rates are bit-identical to naive ones.
+// leading factor of Defect.RatePerMin in its exact association — and rate
+// is the defect's memoized kernel, so compiled rates are bit-identical to
+// naive ones. The kernel's memo lives in the arena's copy, one per run.
 type runDefect struct {
 	d         *defect.Defect
 	bms       []float64
 	stress    float64
-	minTempC  float64
-	slope     float64
-	sat       float64
+	rate      defect.RateKernel
 	dts       []model.DataType
 	ctxInstrs []model.InstrID
 	patProb   float64
@@ -194,9 +192,7 @@ type tcDefect struct {
 	bms        []float64 // BaseFreqPerMin·CoreMultiplier(c) per phys core
 	baseStress float64   // SettingStress(tc, d), before the util factor
 	utilGain   float64
-	minTempC   float64
-	slope      float64
-	sat        float64
+	rate       defect.RateKernel // fresh memo, copied into each run
 	dts        []model.DataType
 	ctxInstrs  []model.InstrID
 	patProb    float64
@@ -248,7 +244,7 @@ func (r *Runner) planFor(tc *Testcase) *tcPlan {
 		}
 		e := tcDefect{
 			d: d, bms: bms, baseStress: base, utilGain: d.UtilGain,
-			minTempC: d.MinTempC, slope: d.TempSlope, sat: d.EffectiveSatDecades(),
+			rate:    d.RateKernel(),
 			patProb: d.SettingPatternProb(tc.ID, r.suite.rng),
 		}
 		if d.Class == model.ClassComputation {
@@ -284,8 +280,7 @@ func (r *Runner) compileRun(tc *Testcase) []runDefect {
 			continue
 		}
 		plan = append(plan, runDefect{
-			d: e.d, bms: e.bms, stress: stress,
-			minTempC: e.minTempC, slope: e.slope, sat: e.sat,
+			d: e.d, bms: e.bms, stress: stress, rate: e.rate,
 			dts: e.dts, ctxInstrs: e.ctxInstrs, patProb: e.patProb,
 		})
 	}
@@ -298,16 +293,7 @@ func (r *Runner) compileRun(tc *Testcase) []runDefect {
 // rate is zero (temperature below the trigger, or this core not
 // defective).
 func (rd *runDefect) sampleEvents(rng *simrand.Source, core int, coreTemp, minutes float64) int {
-	bm := rd.bms[core]
-	if bm == 0 || coreTemp < rd.minTempC {
-		return 0
-	}
-	expo := rd.slope * (coreTemp - rd.minTempC)
-	if expo > rd.sat {
-		expo = rd.sat
-	}
-	rate := math.Min(bm*math.Pow(10, expo)*rd.stress, defect.MaxFreqPerMin)
-	return rng.Poisson(rate * minutes)
+	return rng.Poisson(rd.rate.Rate(rd.bms[core], coreTemp, rd.stress) * minutes)
 }
 
 // Run executes the testcase under the given options and returns the result.

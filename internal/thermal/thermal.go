@@ -86,6 +86,12 @@ type Package struct {
 	// frameworkScale scales all dynamic power (toolchain efficiency).
 	coolingBoost   float64
 	frameworkScale float64
+	// stepDt and stepDecay memoize Step's exp(−dt/τ) for the last step
+	// length: callers step in fixed slices, and a hit needs an equal dt
+	// (τ is fixed at construction). The zero value never hits — Step
+	// returns before the lookup for dt <= 0.
+	stepDt    time.Duration
+	stepDecay float64
 }
 
 // New creates a package with nCores cores at thermal equilibrium (idle
@@ -119,7 +125,7 @@ func (p *Package) SetLoad(core int, util, intensity float64) {
 		panic(fmt.Sprintf("thermal: core %d out of range [0,%d)", core, p.nCores))
 	}
 	p.load[core] = clamp(util, 0, 1)
-	p.intensity[core] = math.Max(intensity, 0)
+	p.intensity[core] = max(intensity, 0)
 }
 
 // ClearLoads idles every core.
@@ -134,7 +140,7 @@ func (p *Package) ClearLoads() {
 // models cooling-device control (ACPI [7] in the paper); Farron primarily
 // uses workload backoff instead, as cooling control "is not widely
 // applicable in Alibaba Cloud yet".
-func (p *Package) SetCoolingBoost(b float64) { p.coolingBoost = math.Max(b, 0) }
+func (p *Package) SetCoolingBoost(b float64) { p.coolingBoost = max(b, 0) }
 
 // SetFrameworkScale scales dynamic power by s (the toolchain-update anomaly:
 // a more efficient framework produced less heat). s must be positive.
@@ -177,7 +183,7 @@ func (p *Package) SteadyStateC() float64 {
 		dt = (-1 + math.Sqrt(1+4*k*rp)) / (2 * k)
 	}
 	t := p.cfg.AmbientC + dt
-	return math.Min(t, p.cfg.MaxTempC)
+	return min(t, p.cfg.MaxTempC)
 }
 
 // Step advances the thermal state by dt using the exact exponential
@@ -186,10 +192,11 @@ func (p *Package) Step(dt time.Duration) {
 	if dt <= 0 {
 		return
 	}
+	if dt != p.stepDt {
+		p.stepDt, p.stepDecay = dt, math.Exp(-dt.Seconds()/p.cfg.TimeConstant.Seconds())
+	}
 	ss := p.SteadyStateC()
-	tau := p.cfg.TimeConstant.Seconds()
-	a := math.Exp(-dt.Seconds() / tau)
-	p.tempC = ss + (p.tempC-ss)*a
+	p.tempC = ss + (p.tempC-ss)*p.stepDecay
 	if p.tempC > p.cfg.MaxTempC {
 		p.tempC = p.cfg.MaxTempC
 	}
@@ -204,8 +211,8 @@ func (p *Package) CoreTempC(core int) float64 {
 	if core < 0 || core >= p.nCores {
 		panic(fmt.Sprintf("thermal: core %d out of range [0,%d)", core, p.nCores))
 	}
-	t := p.tempC + p.offset[core] + p.cfg.LocalHotspotC*p.load[core]*math.Min(p.intensity[core], 1.5)
-	return math.Min(t, p.cfg.MaxTempC)
+	t := p.tempC + p.offset[core] + p.cfg.LocalHotspotC*p.load[core]*min(p.intensity[core], 1.5)
+	return min(t, p.cfg.MaxTempC)
 }
 
 // ForceTemp sets the package temperature directly (test hook / preheat).
@@ -234,8 +241,6 @@ func (p *Package) PreheatTo(target float64, maxDur time.Duration) time.Duration 
 
 // IdleTempC returns the steady-state temperature with all cores idle.
 func (p *Package) IdleTempC() float64 {
-	saved := p.PowerW()
-	_ = saved
 	savedLoad := append([]float64(nil), p.load...)
 	savedIntensity := append([]float64(nil), p.intensity...)
 	p.ClearLoads()

@@ -284,3 +284,44 @@ func TestLoadClamping(t *testing.T) {
 		t.Errorf("clamped power %v != expected %v", pw, q.PowerW())
 	}
 }
+
+// stepOracle is Step as written before exp(−dt/τ) was memoized.
+func stepOracle(p *Package, dt time.Duration) {
+	if dt <= 0 {
+		return
+	}
+	ss := p.SteadyStateC()
+	tau := p.cfg.TimeConstant.Seconds()
+	a := math.Exp(-dt.Seconds() / tau)
+	p.tempC = ss + (p.tempC-ss)*a
+	if p.tempC > p.cfg.MaxTempC {
+		p.tempC = p.cfg.MaxTempC
+	}
+}
+
+// The memoized Step must track the unmemoized one bit for bit when the
+// step length alternates — the runner's full slices interleaved with a
+// run's shorter remainder slice — and across load changes and no-op steps.
+func TestStepMemoAlternatingDt(t *testing.T) {
+	dts := []time.Duration{
+		5 * time.Second, 5 * time.Second, 2 * time.Second, 5 * time.Second, 2 * time.Second,
+		2 * time.Second, 0, -time.Second, 10 * time.Second, 5 * time.Second, 1500 * time.Millisecond,
+	}
+	memo, oracle := newPkg(t, 8), newPkg(t, 8)
+	for i := 0; i < 400; i++ {
+		core, util, intensity := i%8, float64(i%5)/4, 0.5+float64(i%7)/3
+		memo.SetLoad(core, util, intensity)
+		oracle.SetLoad(core, util, intensity)
+		dt := dts[i%len(dts)]
+		memo.Step(dt)
+		stepOracle(oracle, dt)
+		if math.Float64bits(memo.PackageTempC()) != math.Float64bits(oracle.PackageTempC()) {
+			t.Fatalf("step %d (dt %v): memoized %v degC, oracle %v degC", i, dt, memo.PackageTempC(), oracle.PackageTempC())
+		}
+		for c := 0; c < 8; c++ {
+			if memo.CoreTempC(c) != oracle.CoreTempC(c) {
+				t.Fatalf("step %d core %d: memoized %v degC, oracle %v degC", i, c, memo.CoreTempC(c), oracle.CoreTempC(c))
+			}
+		}
+	}
+}
