@@ -89,11 +89,12 @@ bench-compare:
 ## alloc-pins: the allocation regression pins (run twice to shake out
 ## warm-up effects) — the compiled run path, the per-round screening walk
 ## and the columnar stats reductions must stay allocation-free, Farron's
-## online loop must not allocate more for a longer run, and a regular
-## round's bytes must not grow with its SDC count
+## online loop must not allocate more for a longer run, a regular round's
+## bytes must not grow with its SDC count, and fleet profile generation
+## must not allocate more than its pinned count
 alloc-pins:
-	$(GO) test -run 'TestRunStepAllocs|TestScreenCPUAllocs|TestStatsColumnarAllocs|TestPlanDetectAllocs|TestOnlineAllocs|TestRegularRoundBytesIndependentOfSDCs' \
-		-count=2 ./internal/testkit ./internal/fleet ./internal/stats ./internal/core
+	$(GO) test -run 'TestRunStepAllocs|TestScreenCPUAllocs|TestStatsColumnarAllocs|TestPlanDetectAllocs|TestOnlineAllocs|TestRegularRoundBytesIndependentOfSDCs|TestFleetFaultyAllocs' \
+		-count=2 ./internal/testkit ./internal/fleet ./internal/stats ./internal/core ./internal/defect
 
 ## bench-identity: the paper-scale report must regenerate byte-identical to
 ## the committed bench_report.txt — the guard for every hot-path change

@@ -77,9 +77,7 @@ func run(cfg *cliflags.RunConfig, n int, out string, jsonOut bool, jsonPath stri
 
 	if jsonOut || jsonPath != "" {
 		rep.Quick = cfg.Quick
-		rep.ShardBench = engine.ShardBench(rep.EntryCosts(), []int{1, 2, 4, 8, 16})
 		rep.StrategyBench = rep.StrategyRows()
-		rep.SweepShardBench = engine.ShardBench(rep.SweepCosts(), []int{1, 2, 4})
 		path := jsonPath
 		if path == "" {
 			path = "BENCH_" + wallclock.Date() + ".json"

@@ -84,6 +84,11 @@ type Boundary struct {
 	filled  bool
 	current float64
 	raises  int
+	// exceed counts the window's recorded samples above current. Record
+	// keeps it running — minus the evicted sample, plus the new one — and
+	// recounts only when current moves, at most (MaxC−InitialC)/RaiseStepC
+	// times.
+	exceed int
 }
 
 // NewBoundary creates a boundary controller.
@@ -109,7 +114,13 @@ func (b *Boundary) Raises() int { return b.raises }
 
 // Record ingests one temperature sample and returns the action to take.
 func (b *Boundary) Record(tempC float64) Action {
+	if b.filled && b.window[b.next] > b.current {
+		b.exceed-- // the evicted sample
+	}
 	b.window[b.next] = tempC
+	if tempC > b.current {
+		b.exceed++
+	}
 	b.next++
 	if b.next == len(b.window) {
 		b.next = 0
@@ -120,21 +131,19 @@ func (b *Boundary) Record(tempC float64) Action {
 	if b.filled {
 		n = len(b.window)
 	}
-	exceed := 0
-	for i := 0; i < n; i++ {
-		if b.window[i] > b.current {
-			exceed++
-		}
-	}
 
 	// More than half the window above the boundary: this is the
 	// application's normal operating temperature — learn it.
-	if exceed*2 > n && b.current < b.cfg.MaxC {
+	if b.exceed*2 > n && b.current < b.cfg.MaxC {
+		old := b.current
 		b.current = min(b.current+b.cfg.RaiseStepC, b.cfg.MaxC)
 		b.raises++
 		// Re-examine with the raised boundary; a single raise step is
 		// at most one adaptation per sample by design (iterative
 		// learning, Section 7.1).
+		if b.current != old {
+			b.recount(n)
+		}
 	}
 
 	switch {
@@ -144,6 +153,16 @@ func (b *Boundary) Record(tempC float64) Action {
 		return ActionBackoff
 	default:
 		return ActionNone
+	}
+}
+
+// recount recomputes exceed over the n recorded samples against current.
+func (b *Boundary) recount(n int) {
+	b.exceed = 0
+	for _, t := range b.window[:n] {
+		if t > b.current {
+			b.exceed++
+		}
 	}
 }
 

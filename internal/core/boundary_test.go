@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
+
+	"farron/internal/simrand"
 )
 
 func TestBoundaryLearnsNormalTemperature(t *testing.T) {
@@ -137,5 +141,97 @@ func TestBackoffStatsEmpty(t *testing.T) {
 func TestActionString(t *testing.T) {
 	if ActionNone.String() != "none" || ActionBackoff.String() != "backoff" || ActionCooling.String() != "cooling" {
 		t.Error("action strings wrong")
+	}
+}
+
+// naiveBoundary is the rescanning Boundary.Record: it counts the window's
+// exceedances afresh on every sample. It is the oracle the running count
+// is diffed against.
+type naiveBoundary struct {
+	cfg     BoundaryConfig
+	window  []float64
+	next    int
+	filled  bool
+	current float64
+	raises  int
+}
+
+func (b *naiveBoundary) Record(tempC float64) Action {
+	b.window[b.next] = tempC
+	b.next++
+	if b.next == len(b.window) {
+		b.next = 0
+		b.filled = true
+	}
+	n := b.next
+	if b.filled {
+		n = len(b.window)
+	}
+	exceed := 0
+	for i := 0; i < n; i++ {
+		if b.window[i] > b.current {
+			exceed++
+		}
+	}
+	if exceed*2 > n && b.current < b.cfg.MaxC {
+		b.current = min(b.current+b.cfg.RaiseStepC, b.cfg.MaxC)
+		b.raises++
+	}
+	switch {
+	case tempC > b.cfg.CoolingC:
+		return ActionCooling
+	case tempC > b.current && b.filled:
+		return ActionBackoff
+	default:
+		return ActionNone
+	}
+}
+
+func TestBoundaryMatchesRescanOracle(t *testing.T) {
+	small := DefaultBoundaryConfig()
+	small.Window = 7
+	fine := DefaultBoundaryConfig()
+	fine.RaiseStepC = 0.25
+	flat := DefaultBoundaryConfig()
+	flat.RaiseStepC = 0 // raises never move the boundary
+	cfgs := []BoundaryConfig{DefaultBoundaryConfig(), small, fine, flat}
+
+	rng := simrand.New(11)
+	type trace struct {
+		name  string
+		temps []float64
+	}
+	var traces []trace
+	for _, spread := range []float64{2, 8, 20} {
+		var tr []float64
+		for i := 0; i < 5000; i++ {
+			tr = append(tr, rng.Norm(58, spread))
+		}
+		traces = append(traces, trace{fmt.Sprintf("random±%v", spread), tr})
+	}
+	var ramp []float64
+	for i := 0; i < 4000; i++ {
+		// Up from 40 to 90 and back down, with jitter and repeats of
+		// the boundary's own values.
+		x := float64(i % 2000)
+		if i >= 2000 {
+			x = 2000 - x
+		}
+		ramp = append(ramp, 40+x/40+math.Round(rng.Range(-1, 1)))
+	}
+	traces = append(traces, trace{"ramp", ramp})
+
+	for ci, cfg := range cfgs {
+		for _, tr := range traces {
+			b := NewBoundary(cfg)
+			o := &naiveBoundary{cfg: cfg, window: make([]float64, cfg.Window), current: cfg.InitialC}
+			for i, temp := range tr.temps {
+				got, want := b.Record(temp), o.Record(temp)
+				if got != want || b.Current() != o.current || b.Raises() != o.raises {
+					t.Fatalf("cfg %d %s sample %d (%.3f): action %v current %v raises %d, oracle %v %v %d",
+						ci, tr.name, i, temp, got, b.Current(), b.Raises(), want, o.current, o.raises)
+				}
+			}
+		}
 	}
 }

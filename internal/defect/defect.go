@@ -49,7 +49,7 @@ type Defect struct {
 	// pattern, Section 4.2).
 	DataTypes []model.DataType
 	// AffectedInstrs is the set of defective virtual instructions.
-	AffectedInstrs map[model.InstrID]bool
+	AffectedInstrs model.InstrSet
 
 	// AllCores reports a defect present in every physical core
 	// (Observation 4: about half of faulty processors).
@@ -285,7 +285,7 @@ func (d *Defect) Stress(mix map[model.InstrID]float64, nominalUsage float64) flo
 	}
 	total := 0.0
 	for id, usage := range mix {
-		if d.AffectedInstrs[id] {
+		if d.AffectedInstrs.Has(id) {
 			total += usage
 		}
 	}
@@ -340,19 +340,9 @@ func (d *Defect) Corruptor(dt model.DataType, rng *simrand.Source) *inject.Corru
 	return c
 }
 
-// SortedInstrs returns the affected instructions in deterministic order.
+// SortedInstrs returns the affected instructions in (class, variant) order.
 func (d *Defect) SortedInstrs() []model.InstrID {
-	out := make([]model.InstrID, 0, len(d.AffectedInstrs))
-	for id := range d.AffectedInstrs {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Class != out[j].Class {
-			return out[i].Class < out[j].Class
-		}
-		return out[i].Variant < out[j].Variant
-	})
-	return out
+	return d.AffectedInstrs.AppendIDs(make([]model.InstrID, 0, d.AffectedInstrs.Len()))
 }
 
 // DefectiveCores returns the sorted list of defective physical cores given

@@ -123,12 +123,12 @@ func (d *Defect) SettingPatternProb(testcaseID string, rng *simrand.Source) floa
 }
 
 // instrSet builds an AffectedInstrs set from explicit IDs.
-func instrSet(ids ...model.InstrID) map[model.InstrID]bool {
-	m := make(map[model.InstrID]bool, len(ids))
+func instrSet(ids ...model.InstrID) model.InstrSet {
+	var s model.InstrSet
 	for _, id := range ids {
-		m[id] = true
+		s.Add(id)
 	}
-	return m
+	return s
 }
 
 // iid is shorthand for constructing a virtual instruction ID.
@@ -139,7 +139,8 @@ func iid(c model.InstrClass, v int) model.InstrID { return model.InstrID{Class: 
 // at frequencies differing by orders of magnitude). Core "anchor" keeps
 // multiplier 1 so the headline rates stay interpretable.
 func spreadCoreMult(rng *simrand.Source, id string, nCores, anchor int) map[int]float64 {
-	r := rng.Derive("coremult", id)
+	var r simrand.Source
+	rng.DeriveInto(&r, "coremult", id)
 	m := make(map[int]float64, nCores)
 	for c := 0; c < nCores; c++ {
 		if c == anchor {
@@ -470,7 +471,21 @@ func (g *generator) freqForMinTemp(r *simrand.Source, minTemp float64) float64 {
 
 // study generates one study-set profile of the given class.
 func (g *generator) study(id string, class model.DefectClass) *Profile {
-	r := g.rng.Derive("study", id)
+	p, anchor := g.draw(id, class)
+	if d := p.Defects[0]; d.AllCores {
+		d.CoreMult = spreadCoreMult(g.rng, d.ID, p.TotalPCores, anchor)
+	}
+	return p
+}
+
+// draw makes every study-profile draw but leaves an all-core defect's
+// CoreMult unset, returning its anchor core instead: spreadCoreMult draws
+// from its own substream, so the fleet, which re-fits cores to its own
+// arch, can skip the study arch's multipliers without moving a draw.
+func (g *generator) draw(id string, class model.DefectClass) (*Profile, int) {
+	var rs simrand.Source
+	r := &rs
+	g.rng.DeriveInto(r, "study", id)
 	arch := model.AllMicroArchs()[r.Intn(9)]
 	pcores, threads := archCores(arch)
 
@@ -479,10 +494,11 @@ func (g *generator) study(id string, class model.DefectClass) *Profile {
 
 	var features []model.Feature
 	var datatypes []model.DataType
-	var classes []model.InstrClass
+	var classBuf [4]model.InstrClass
+	classes := classBuf[:0]
 	if class == model.ClassComputation {
 		pool := []model.Feature{model.FeatureALU, model.FeatureVecUnit, model.FeatureFPU}
-		features = []model.Feature{pool[r.Intn(3)]}
+		features = append(make([]model.Feature, 0, 2), pool[r.Intn(3)])
 		if r.Bool(0.3) {
 			f2 := pool[r.Intn(3)]
 			if f2 != features[0] {
@@ -499,6 +515,7 @@ func (g *generator) study(id string, class model.DefectClass) *Profile {
 		if n > len(dtPool) {
 			n = len(dtPool)
 		}
+		datatypes = make([]model.DataType, 0, n)
 		for len(datatypes) < n {
 			i := r.WeightedChoice(weights)
 			weights[i] = 0
@@ -515,24 +532,25 @@ func (g *generator) study(id string, class model.DefectClass) *Profile {
 			}
 		}
 	} else {
-		if r.Bool(0.5) {
-			features = []model.Feature{model.FeatureCache}
-			classes = []model.InstrClass{model.InstrAtomic, model.InstrLoadStore}
-		} else {
-			features = []model.Feature{model.FeatureTrxMem}
-			classes = []model.InstrClass{model.InstrTrxRegion}
-		}
-		if r.Bool(0.25) {
+		cache := r.Bool(0.5)
+		switch {
+		case r.Bool(0.25):
 			features = []model.Feature{model.FeatureCache, model.FeatureTrxMem}
-			classes = []model.InstrClass{model.InstrAtomic, model.InstrLoadStore, model.InstrTrxRegion}
+			classes = append(classes, model.InstrAtomic, model.InstrLoadStore, model.InstrTrxRegion)
+		case cache:
+			features = []model.Feature{model.FeatureCache}
+			classes = append(classes, model.InstrAtomic, model.InstrLoadStore)
+		default:
+			features = []model.Feature{model.FeatureTrxMem}
+			classes = append(classes, model.InstrTrxRegion)
 		}
 	}
 
-	instrs := map[model.InstrID]bool{}
+	var instrs model.InstrSet
 	for _, c := range classes {
 		n := 1 + r.Intn(2)
 		for _, v := range r.PickN(model.InstrVariants, n) {
-			instrs[model.InstrID{Class: c, Variant: v}] = true
+			instrs.Add(model.InstrID{Class: c, Variant: v})
 		}
 	}
 
@@ -563,10 +581,10 @@ func (g *generator) study(id string, class model.DefectClass) *Profile {
 	// Observation 4: about half of faulty processors have all cores
 	// defective.
 	allCores := r.Bool(0.5)
-	defective := 1
+	defective, anchor := 1, 0
 	if allCores {
 		d.AllCores = true
-		d.CoreMult = spreadCoreMult(g.rng, d.ID, pcores, r.Intn(pcores))
+		anchor = r.Intn(pcores)
 		defective = pcores
 	} else {
 		d.Cores = []int{r.Intn(pcores)}
@@ -580,7 +598,7 @@ func (g *generator) study(id string, class model.DefectClass) *Profile {
 		TargetErrCount:    1 + r.Intn(10),
 		ImpactedWorkloads: []string{"synthetic study workload"},
 		Defects:           []*Defect{d},
-	}
+	}, anchor
 }
 
 // vulnerablePoolSize is how many virtual instructions per class a given
@@ -590,17 +608,26 @@ func (g *generator) study(id string, class model.DefectClass) *Profile {
 // on a small arch-specific set of weak instructions.
 const vulnerablePoolSize = 2
 
-// vulnerablePool returns the arch's weak variants for an instruction class,
-// deterministically from the generator seed.
-func (g *generator) vulnerablePool(arch model.MicroArch, class model.InstrClass) []int {
-	r := g.rng.Derive("vuln-pool", string(arch), class.String())
-	return r.PickN(model.InstrVariants, vulnerablePoolSize)
+// vulnPools holds one arch's weak variants for every instruction class.
+type vulnPools [model.NumInstrClasses][vulnerablePoolSize]int
+
+// vulnerablePools returns the arch's weak variants for each instruction
+// class, deterministically from the generator seed.
+func (g *generator) vulnerablePools(arch model.MicroArch) *vulnPools {
+	var pools vulnPools
+	for c := range pools {
+		r := g.rng.Derive("vuln-pool", string(arch), model.InstrClass(c).String())
+		copy(pools[c][:], r.PickN(model.InstrVariants, vulnerablePoolSize))
+	}
+	return &pools
 }
 
 // datatypePool returns the datatypes a defect with the given features can
 // corrupt, with draw weights. The pools mirror the datatypes testcases of
 // those features validate (testkit's feature→datatype map).
 func datatypePool(features []model.Feature) (pool []model.DataType, weights []float64) {
+	pool = make([]model.DataType, 0, model.NumDataTypes)
+	weights = make([]float64, 0, model.NumDataTypes)
 	add := func(dt model.DataType, w float64) {
 		for i, p := range pool {
 			if p == dt {
@@ -642,39 +669,76 @@ func datatypePool(features []model.Feature) (pool []model.DataType, weights []fl
 	return pool, weights
 }
 
-// FleetFaulty generates a faulty-processor profile for the fleet
-// population: same machinery as the study set but keyed by processor serial
-// so each faulty CPU in the million-CPU fleet is unique and reproducible,
-// with affected instructions drawn from the arch's vulnerable pool.
-func FleetFaulty(rng *simrand.Source, serial string, arch model.MicroArch) *Profile {
-	g := newGenerator(rng)
-	r := g.rng.Derive("fleet", serial)
+// FleetGenerator generates the fleet population's faulty-processor
+// profiles: the study-set machinery keyed by processor serial, so each
+// faulty CPU in the million-CPU fleet is unique and reproducible, with
+// affected instructions drawn from the arch's vulnerable pool. The pools
+// are pure functions of the seed, built once here instead of per CPU.
+//
+//sdclint:frozen read-only after NewFleetGenerator; shared across the screening pool
+type FleetGenerator struct {
+	g     *generator
+	pools map[model.MicroArch]*vulnPools
+}
+
+// NewFleetGenerator builds the generator for the fleet seeded by rng,
+// precomputing the vulnerable pool of every AllMicroArchs arch and class.
+func NewFleetGenerator(rng *simrand.Source) *FleetGenerator {
+	fg := &FleetGenerator{g: newGenerator(rng), pools: map[model.MicroArch]*vulnPools{}}
+	for _, arch := range model.AllMicroArchs() {
+		fg.pools[arch] = fg.g.vulnerablePools(arch)
+	}
+	return fg
+}
+
+// Faulty generates the faulty-processor profile of the CPU with the given
+// serial and arch. It is safe for concurrent use.
+func (fg *FleetGenerator) Faulty(serial string, arch model.MicroArch) *Profile {
+	var r simrand.Source
+	return fg.faulty(&r, serial, arch)
+}
+
+// faulty is Faulty drawing the fleet-stage draws from r, which it derives
+// from the serial; r is left after the last draw.
+func (fg *FleetGenerator) faulty(r *simrand.Source, serial string, arch model.MicroArch) *Profile {
+	fg.g.rng.DeriveInto(r, "fleet", serial)
 	class := model.ClassComputation
 	// Study set split 19/27 computation.
 	if r.Bool(8.0 / 27.0) {
 		class = model.ClassConsistency
 	}
-	p := g.study(serial, class)
+	p, _ := fg.g.draw(serial, class)
 	p.Arch = arch
 	pcores, threads := archCores(arch)
 	p.TotalPCores, p.ThreadsPerCore = pcores, threads
 	d := p.Defects[0]
 	// Re-draw the affected instructions from the arch's vulnerable pools
 	// (batch clustering), preserving the classes the defect touches.
-	clustered := map[model.InstrID]bool{}
-	for _, id := range d.SortedInstrs() {
-		pool := g.vulnerablePool(arch, id.Class)
+	pools := fg.poolsOf(arch)
+	var buf [16]model.InstrID
+	var clustered model.InstrSet
+	for _, id := range d.AffectedInstrs.AppendIDs(buf[:0]) {
+		pool := &pools[id.Class]
 		v := pool[r.Intn(len(pool))]
-		clustered[model.InstrID{Class: id.Class, Variant: v}] = true
+		clustered.Add(model.InstrID{Class: id.Class, Variant: v})
 	}
 	d.AffectedInstrs = clustered
 	// Re-fit core scope to the arch's core count.
 	if d.AllCores {
-		d.CoreMult = spreadCoreMult(g.rng, d.ID, pcores, r.Intn(pcores))
+		d.CoreMult = spreadCoreMult(fg.g.rng, d.ID, pcores, r.Intn(pcores))
 		p.DefectivePCores = pcores
 	} else {
-		d.Cores = []int{r.Intn(pcores)}
+		d.Cores[0] = r.Intn(pcores)
 		p.DefectivePCores = 1
 	}
 	return p
+}
+
+// poolsOf returns the arch's vulnerable pools: precomputed for the known
+// archs, derived on the spot (the same draws) for any other.
+func (fg *FleetGenerator) poolsOf(arch model.MicroArch) *vulnPools {
+	if pools, ok := fg.pools[arch]; ok {
+		return pools
+	}
+	return fg.g.vulnerablePools(arch)
 }

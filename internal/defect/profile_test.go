@@ -66,7 +66,7 @@ func TestLibraryFPUSharedSuspect(t *testing.T) {
 	suspect := model.InstrID{Class: model.InstrFPTrig, Variant: 17}
 	for _, id := range []string{"FPU1", "FPU2"} {
 		p := find(lib, id)
-		if p == nil || !p.Defects[0].AffectedInstrs[suspect] {
+		if p == nil || !p.Defects[0].AffectedInstrs.Has(suspect) {
 			t.Errorf("%s missing shared arctangent suspect", id)
 		}
 	}
@@ -156,13 +156,13 @@ func TestStudySetHalfAllCores(t *testing.T) {
 }
 
 func TestFleetFaultyReproducible(t *testing.T) {
-	rng := simrand.New(5)
-	a := FleetFaulty(rng, "cpu-000123", "M8")
-	b := FleetFaulty(rng, "cpu-000123", "M8")
+	gen := NewFleetGenerator(simrand.New(5))
+	a := gen.Faulty("cpu-000123", "M8")
+	b := NewFleetGenerator(simrand.New(5)).Faulty("cpu-000123", "M8")
 	if a.CPUID != b.CPUID || a.Defects[0].MinTempC != b.Defects[0].MinTempC {
-		t.Error("FleetFaulty not reproducible for same serial")
+		t.Error("Faulty not reproducible for same serial")
 	}
-	c := FleetFaulty(rng, "cpu-000124", "M8")
+	c := gen.Faulty("cpu-000124", "M8")
 	if a.Defects[0].MinTempC == c.Defects[0].MinTempC &&
 		a.Defects[0].BaseFreqPerMin == c.Defects[0].BaseFreqPerMin {
 		t.Error("distinct serials produced identical defects")
@@ -170,8 +170,7 @@ func TestFleetFaultyReproducible(t *testing.T) {
 }
 
 func TestFleetFaultyArchCores(t *testing.T) {
-	rng := simrand.New(6)
-	p := FleetFaulty(rng, "cpu-7", "M1")
+	p := NewFleetGenerator(simrand.New(6)).Faulty("cpu-7", "M1")
 	if p.Arch != "M1" {
 		t.Errorf("arch = %s", p.Arch)
 	}

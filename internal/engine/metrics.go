@@ -88,18 +88,10 @@ type RunReport struct {
 	Fanout           int          `json:"fanout,omitempty"`
 	RecomputedShards int          `json:"recomputed_shards,omitempty"`
 	WorkerProcs      []WorkerProc `json:"worker_procs,omitempty"`
-	// ShardBench is the simulated multi-shard ladder (shardbench.go): the
-	// makespan the pool's schedule achieves over this run's measured entry
-	// costs at each worker count — how parallel speedups get *measured*
-	// into BENCH_*.json even on a single-core benchmark host.
-	ShardBench []ShardPoint `json:"shard_bench,omitempty"`
 	// StrategyBench is the per-screening-strategy cost accounting parsed
-	// from the strategy sweep's registry entries (StrategyRows), and
-	// SweepShardBench the ShardBench ladder over just those entries — the
-	// sweep's simulated parallel makespan across strategies.
-	StrategyBench   []StrategyBench    `json:"strategy_bench,omitempty"`
-	SweepShardBench []ShardPoint       `json:"sweep_shard_bench,omitempty"`
-	Experiments     []ExperimentTiming `json:"experiments"`
+	// from the strategy sweep's registry entries (StrategyRows).
+	StrategyBench []StrategyBench    `json:"strategy_bench,omitempty"`
+	Experiments   []ExperimentTiming `json:"experiments"`
 
 	start        wallclock.Stamp
 	startMemised bool
@@ -147,4 +139,46 @@ func (r *RunReport) WriteJSON(w io.Writer) error {
 	}
 	_, err = fmt.Fprintf(w, "%s\n", b)
 	return err
+}
+
+// StrategyBench is one screening strategy's measured cost in a run — the
+// accounting of its "Strategy sweep [<name>]" registry entry, so the
+// strategy-sweep cost comparison lands in BENCH_*.json as committed data.
+type StrategyBench struct {
+	Strategy    string  `json:"strategy"`
+	WallSeconds float64 `json:"wall_seconds"`
+	OutputBytes int     `json:"output_bytes"`
+	CacheHit    bool    `json:"cache_hit"`
+}
+
+// StrategyRows extracts the per-strategy sweep rows of a run by the
+// SweepNamePrefix naming contract, in entry (registry) order. Empty when
+// the run's scale filtered the sweep out.
+func (r *RunReport) StrategyRows() []StrategyBench {
+	var rows []StrategyBench
+	for i := range r.Experiments {
+		e := &r.Experiments[i]
+		name, ok := sweepStrategy(e.Name)
+		if !ok {
+			continue
+		}
+		rows = append(rows, StrategyBench{
+			Strategy:    name,
+			WallSeconds: e.WallSeconds,
+			OutputBytes: e.OutputBytes,
+			CacheHit:    e.CacheHit,
+		})
+	}
+	return rows
+}
+
+// sweepStrategy parses a registry entry name against the sweep's naming
+// contract ("Strategy sweep [<strategy>]"), returning the strategy name.
+func sweepStrategy(name string) (string, bool) {
+	if len(name) <= len(SweepNamePrefix)+1 ||
+		name[:len(SweepNamePrefix)] != SweepNamePrefix ||
+		name[len(name)-1] != ']' {
+		return "", false
+	}
+	return name[len(SweepNamePrefix) : len(name)-1], true
 }

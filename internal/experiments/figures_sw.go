@@ -366,7 +366,7 @@ func failingDefect(ctx *Context, p *defect.Profile, tcID string) *defect.Defect 
 		return nil
 	}
 	for _, d := range p.Defects {
-		for id := range d.AffectedInstrs {
+		for _, id := range d.SortedInstrs() {
 			if tc.UsesInstr(id) {
 				return d
 			}

@@ -51,7 +51,7 @@ type CPUScreen struct {
 // serial exactly as the one-shot Run derives them, so a serve-driven fleet
 // and a batch fleet generate identical processors for identical serials.
 func (s *Simulator) NewCPUScreen(serial string, arch model.MicroArch) *CPUScreen {
-	p := defect.FleetFaulty(s.rng, serial, arch)
+	p := s.gen.Faulty(serial, arch)
 	return s.newScreenState(serial, arch, p, s.rng.Derive("screen", serial))
 }
 

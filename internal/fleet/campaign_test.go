@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"farron/internal/defect"
 	"farron/internal/model"
 )
 
@@ -17,7 +16,7 @@ func TestCampaignSteppedMatchesOneShot(t *testing.T) {
 	detected, escaped := 0, 0
 	for i := 0; i < 60; i++ {
 		serial := fmt.Sprintf("M8-flt-%05d", i)
-		p := defect.FleetFaulty(sim.rng, serial, "M8")
+		p := sim.gen.Faulty(serial, "M8")
 		stage, tcID, hit := sim.screen(sim.rng.Derive("screen", serial), p)
 
 		cs := sim.NewCPUScreen(serial, "M8")

@@ -205,6 +205,9 @@ type Simulator struct {
 	suite *testkit.Suite
 	rng   *simrand.Source
 	scr   Screener
+	// gen generates every faulty CPU's profile; frozen, it is shared by
+	// the whole screening pool.
+	gen *defect.FleetGenerator
 	// regularSP caches the regular-testing stage profile (hasRegular
 	// false when none is configured): every screen consults it every
 	// round, and cfg.Stages is frozen after NewSimulator, so the
@@ -237,6 +240,7 @@ func NewSimulator(cfg Config, suite *testkit.Suite) (*Simulator, error) {
 		cfg.RegularPeriodMin = DefaultRegularPeriodMin
 	}
 	s := &Simulator{cfg: cfg, suite: suite, rng: simrand.New(cfg.Seed).Derive("fleet")}
+	s.gen = defect.NewFleetGenerator(s.rng)
 	for _, sp := range cfg.Stages {
 		if sp.Stage == model.StageRegular {
 			s.regularSP, s.hasRegular = sp, true
@@ -425,12 +429,21 @@ func (s *Simulator) stageDetect(rng *simrand.Source, p *defect.Profile, failing 
 	return "", false
 }
 
-// bestCore returns the defective core with the highest rate multiplier.
+// bestCore returns the defective core with the highest rate multiplier,
+// the lowest-numbered one on a tie (the first in DefectiveCores order).
 func bestCore(d *defect.Defect, totalCores int) int {
 	best, bestM := -1, 0.0
-	for _, c := range d.DefectiveCores(totalCores) {
-		if m := d.CoreMultiplier(c); m > bestM {
-			best, bestM = c, m
+	if d.AllCores {
+		for c := 0; c < totalCores; c++ {
+			if m := d.CoreMultiplier(c); m > bestM {
+				best, bestM = c, m
+			}
+		}
+	} else {
+		for _, c := range d.Cores {
+			if m := d.CoreMultiplier(c); m > bestM || (m == bestM && m > 0 && c < best) {
+				best, bestM = c, m
+			}
 		}
 	}
 	if best < 0 {

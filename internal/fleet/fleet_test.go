@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"farron/internal/defect"
 	"farron/internal/model"
 	"farron/internal/simrand"
 	"farron/internal/testkit"
@@ -199,6 +200,38 @@ func TestBestCore(t *testing.T) {
 			if d.CoreMultiplier(c) <= 0 {
 				t.Fatalf("bestCore has zero multiplier")
 			}
+			if want := bestCoreOracle(d, p.TotalPCores); c != want {
+				t.Fatalf("%s: bestCore %d, oracle %d", p.CPUID, c, want)
+			}
 		}
 	}
+	// Ties go to the lowest core, explicit core lists in any order.
+	for _, tc := range []struct {
+		d    *defect.Defect
+		want int
+	}{
+		{&defect.Defect{Cores: []int{5, 2, 7}}, 2},
+		{&defect.Defect{Cores: []int{7, 2, 5}, CoreMult: map[int]float64{5: 3, 2: 1, 7: 3}}, 5},
+		{&defect.Defect{AllCores: true, CoreMult: map[int]float64{0: 0.1, 1: 0.1, 2: 0.5, 3: 0.5}}, 4},
+		{&defect.Defect{AllCores: true, CoreMult: map[int]float64{0: 0.1, 1: 0.1, 2: 0.5, 3: 0.5, 4: 0.2, 5: 0.2}}, 2},
+		{&defect.Defect{Cores: []int{4}, CoreMult: map[int]float64{4: 0}}, 0},
+	} {
+		if got, want := bestCore(tc.d, 6), bestCoreOracle(tc.d, 6); got != tc.want || want != tc.want {
+			t.Errorf("bestCore(%+v) = %d, oracle %d, want %d", tc.d, got, want, tc.want)
+		}
+	}
+}
+
+// bestCoreOracle is bestCore as a scan of the sorted DefectiveCores list.
+func bestCoreOracle(d *defect.Defect, totalCores int) int {
+	best, bestM := -1, 0.0
+	for _, c := range d.DefectiveCores(totalCores) {
+		if m := d.CoreMultiplier(c); m > bestM {
+			best, bestM = c, m
+		}
+	}
+	if best < 0 {
+		return 0
+	}
+	return best
 }

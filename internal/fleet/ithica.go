@@ -97,7 +97,7 @@ func newITHICAScreener(s *Simulator) *ithicaScreener {
 func (t *ithicaScreener) Strategy() string { return StrategyITHICA }
 
 func (t *ithicaScreener) NewScreen(serial string, arch model.MicroArch) Screen {
-	p := defect.FleetFaulty(t.sim.rng, serial, arch)
+	p := t.sim.gen.Faulty(serial, arch)
 	cs := t.sim.newScreenState(serial, arch, p, t.sim.screenRng(StrategyITHICA, serial))
 	is := &ithicaScreen{CPUScreen: cs, scr: t}
 	// Compile the checkable settings once per CPU, like the detection

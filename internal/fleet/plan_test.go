@@ -36,9 +36,8 @@ func planFixture(t testing.TB) (*Simulator, *defect.Profile, detectionPlan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := simrand.New(cfg.Seed).Derive("fleet")
 	for f := 0; f < 50; f++ {
-		p := defect.FleetFaulty(rng, faultySerial("M8", f), "M8")
+		p := sim.gen.Faulty(faultySerial("M8", f), "M8")
 		failing := suite.FailingTestcases(p)
 		if plan := sim.compilePlan(p, failing); len(plan.entries) > 0 {
 			return sim, p, plan
@@ -97,7 +96,7 @@ func BenchmarkScreenCPU(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serial := faultySerial("M8", i%100)
-		p := defect.FleetFaulty(sim.rng, serial, "M8")
+		p := sim.gen.Faulty(serial, "M8")
 		crng := sim.rng.Derive("screen", serial)
 		sim.screen(crng, p)
 	}

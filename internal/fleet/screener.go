@@ -211,7 +211,7 @@ type kitScreener struct {
 func (k *kitScreener) Strategy() string { return k.name }
 
 func (k *kitScreener) NewScreen(serial string, arch model.MicroArch) Screen {
-	p := defect.FleetFaulty(k.sim.rng, serial, arch)
+	p := k.sim.gen.Faulty(serial, arch)
 	return k.sim.newScreenState(serial, arch, p, k.sim.screenRng(k.salt, serial))
 }
 

@@ -95,7 +95,7 @@ func newSiliFuzzScreener(s *Simulator) *siliFuzzScreener {
 func (f *siliFuzzScreener) Strategy() string { return StrategySiliFuzz }
 
 func (f *siliFuzzScreener) NewScreen(serial string, arch model.MicroArch) Screen {
-	p := defect.FleetFaulty(f.sim.rng, serial, arch)
+	p := f.sim.gen.Faulty(serial, arch)
 	cs := f.sim.newScreenState(serial, arch, p, f.sim.screenRng(StrategySiliFuzz, serial))
 	ss := &siliScreen{CPUScreen: cs, scr: f, planGen: -1}
 	if !f.sim.suite.Reference() {

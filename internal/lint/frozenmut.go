@@ -31,8 +31,9 @@ import (
 //     a held *simrand.Source, a helper that re-populates a map).
 //
 // The repo's frozen types are engine.Ctx, testkit.Suite and its compiled
-// Testcase indexes, and fleet's per-CPU detection plans — the shared state
-// every shard of a parallel run reads lock-free. A post-freeze write there
+// Testcase indexes, fleet's per-CPU detection plans and the fleet's
+// defect.FleetGenerator — the shared state every shard of a parallel run
+// reads lock-free. A post-freeze write there
 // is this testbed's own silent data corruption: results stop being a pure
 // function of the seed, and only under contention.
 var FrozenMut = &Analyzer{

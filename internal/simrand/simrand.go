@@ -317,14 +317,19 @@ func (s *Source) LogUniform(lo, hi float64) float64 {
 // Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
+	s.permInto(p)
+	return p
+}
+
+// permInto fills p with Perm(len(p)), drawing exactly Perm's draws.
+func (s *Source) permInto(p []int) {
 	for i := range p {
 		p[i] = i
 	}
-	for i := n - 1; i > 0; i-- {
+	for i := len(p) - 1; i > 0; i-- {
 		j := s.Intn(i + 1)
 		p[i], p[j] = p[j], p[i]
 	}
-	return p
 }
 
 // Shuffle pseudo-randomly reorders n elements using the provided swap
@@ -361,10 +366,18 @@ func (s *Source) WeightedChoice(weights []float64) int {
 }
 
 // PickN returns k distinct indices uniformly sampled from [0, n) in random
-// order. It panics if k > n.
+// order: Perm(n)[:k], from the same draws. For n <= 64 the permutation is
+// built on the stack and only the k picks are allocated. It panics if
+// k > n.
 func (s *Source) PickN(n, k int) []int {
 	if k > n {
 		panic("simrand: PickN with k > n")
 	}
-	return s.Perm(n)[:k]
+	if n > 64 {
+		return s.Perm(n)[:k]
+	}
+	var buf [64]int
+	p := buf[:n]
+	s.permInto(p)
+	return append(make([]int, 0, k), p[:k]...)
 }

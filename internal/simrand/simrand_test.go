@@ -256,6 +256,32 @@ func TestPickN(t *testing.T) {
 	}
 }
 
+// TestPickNMatchesPerm pins PickN to its definition, Perm(n)[:k]: the same
+// picks from the same draws on both sides of the stack-buffer cutoff.
+func TestPickNMatchesPerm(t *testing.T) {
+	for _, n := range []int{1, 10, 48, 64, 65} {
+		for _, k := range []int{0, 1, n / 2, n} {
+			for seed := uint64(1); seed <= 20; seed++ {
+				a, b := New(seed), New(seed)
+				a.Uint64() // start mid-stream
+				b.Uint64()
+				got, want := a.PickN(n, k), b.Perm(n)[:k]
+				if len(got) != k {
+					t.Fatalf("PickN(%d,%d) returned %d values", n, k, len(got))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d: PickN(%d,%d) = %v, want Perm prefix %v", seed, n, k, got, want)
+					}
+				}
+				if x, y := a.Uint64(), b.Uint64(); x != y {
+					t.Fatalf("seed %d: PickN(%d,%d) left the source at %#x, Perm at %#x", seed, n, k, x, y)
+				}
+			}
+		}
+	}
+}
+
 func TestBool(t *testing.T) {
 	s := New(13)
 	if s.Bool(0) {

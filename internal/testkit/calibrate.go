@@ -1,6 +1,7 @@
 package testkit
 
 import (
+	"math/bits"
 	"sort"
 
 	"farron/internal/defect"
@@ -10,33 +11,38 @@ import (
 // FailingTestcases returns the testcases that can detect at least one of
 // the profile's defects (the processor's #err set of Table 3), in suite
 // order. With the suite's inverted instruction index it marks only the
-// testcases sharing an instruction with some defect and confirms those; a
-// reference suite falls back to the full 633×defects scan.
+// testcases sharing an instruction with some defect, in a stack bitset
+// over suite positions, and confirms those; a reference suite falls back
+// to the full 633×defects scan.
 func (s *Suite) FailingTestcases(p *defect.Profile) []*Testcase {
 	if s.instrUsers == nil {
 		return s.failingTestcasesScan(p)
 	}
-	marks := make([]bool, len(s.Testcases))
+	var marks [(SuiteSize + 63) / 64]uint64
+	var buf [16]model.InstrID
 	n := 0
 	for _, d := range p.Defects {
-		for id := range d.AffectedInstrs {
-			for _, tc := range s.instrUsers[id] {
-				if !marks[tc.ord] {
-					marks[tc.ord] = true
+		for _, id := range d.AffectedInstrs.AppendIDs(buf[:0]) {
+			i, _ := id.Index() // AppendIDs yields in-range IDs only
+			for _, tc := range s.instrUsers[i] {
+				w, bit := tc.ord/64, uint64(1)<<(tc.ord%64)
+				if marks[w]&bit == 0 {
+					marks[w] |= bit
 					n++
 				}
 			}
 		}
 	}
 	out := make([]*Testcase, 0, n)
-	for _, tc := range s.Testcases {
-		if !marks[tc.ord] {
-			continue
-		}
-		for _, d := range p.Defects {
-			if DetectableBy(tc, d) {
-				out = append(out, tc)
-				break
+	for w, word := range marks {
+		for word != 0 {
+			tc := s.Testcases[w*64+bits.TrailingZeros64(word)]
+			word &= word - 1
+			for _, d := range p.Defects {
+				if DetectableBy(tc, d) {
+					out = append(out, tc)
+					break
+				}
 			}
 		}
 	}
@@ -83,7 +89,7 @@ func (s *Suite) CalibrateProfile(p *defect.Profile) int {
 		if gain == 0 {
 			break // no variant adds coverage
 		}
-		d.AffectedInstrs[id] = true
+		d.AffectedInstrs.Add(id)
 		count += gain
 		if gain > gap {
 			break // minimal overshoot accepted
@@ -123,7 +129,7 @@ func (s *Suite) bestVariant(p *defect.Profile, d *defect.Defect, classes []model
 	for _, cl := range classes {
 		for v := 0; v < model.InstrVariants; v++ {
 			id := model.InstrID{Class: cl, Variant: v}
-			if d.AffectedInstrs[id] {
+			if d.AffectedInstrs.Has(id) {
 				continue
 			}
 			g := s.gainOf(p, d, id)

@@ -36,7 +36,7 @@ func TestCalibratePreservesSeeds(t *testing.T) {
 	for _, p := range lib {
 		suite.CalibrateProfile(p)
 		if p.CPUID == "FPU1" || p.CPUID == "FPU2" {
-			if !p.Defects[0].AffectedInstrs[suspect] {
+			if !p.Defects[0].AffectedInstrs.Has(suspect) {
 				t.Errorf("%s lost its arctangent seed", p.CPUID)
 			}
 		}
@@ -48,12 +48,12 @@ func TestCalibrateIdempotentWhenSatisfied(t *testing.T) {
 	suite := NewSuite(rng)
 	p := defect.Library(rng)[0]
 	first := suite.CalibrateProfile(p)
-	size := len(p.Defects[0].AffectedInstrs)
+	size := p.Defects[0].AffectedInstrs.Len()
 	second := suite.CalibrateProfile(p)
 	if second != first {
 		t.Errorf("second calibration changed count %d -> %d", first, second)
 	}
-	if len(p.Defects[0].AffectedInstrs) != size {
+	if p.Defects[0].AffectedInstrs.Len() != size {
 		t.Error("second calibration grew the instruction set")
 	}
 }
@@ -85,8 +85,9 @@ func TestObservation11MostTestcasesIneffective(t *testing.T) {
 	effective := map[string]bool{}
 	// A 30k-CPU environment dominated by three arch batches.
 	archs := []model.MicroArch{"M8", "M1", "M6"}
+	gen := defect.NewFleetGenerator(rng)
 	for i := 0; i < 14; i++ {
-		p := defect.FleetFaulty(rng, settingID(i), archs[i%len(archs)])
+		p := gen.Faulty(settingID(i), archs[i%len(archs)])
 		for _, tc := range suite.FailingTestcases(p) {
 			effective[tc.ID] = true
 		}

@@ -55,36 +55,29 @@ func (tc *Testcase) FlatMix() []InstrUsage {
 // inverted index behind InstrUsers and FailingTestcases, and the feature →
 // testcases index behind ByFeature. NewReferenceSuite skips this.
 func (s *Suite) buildIndex() {
-	s.instrUsers = map[model.InstrID][]*Testcase{}
+	s.instrUsers = make([][]*Testcase, model.NumInstrs)
 	s.byFeature = map[model.Feature][]*Testcase{}
 	for i, tc := range s.Testcases {
 		tc.ord = i
 		tc.flatMix = flattenMix(tc.Mix)
 		s.byFeature[tc.Feature] = append(s.byFeature[tc.Feature], tc)
 		for _, u := range tc.flatMix {
-			if u.Usage > 0 {
-				s.instrUsers[u.Instr] = append(s.instrUsers[u.Instr], tc)
+			if i, ok := u.Instr.Index(); ok && u.Usage > 0 {
+				s.instrUsers[i] = append(s.instrUsers[i], tc)
+				tc.uses.Add(u.Instr)
 			}
 		}
 	}
 }
 
-// detectableFlat is DetectableBy over the flattened mix: identical result,
-// no map iteration — the overlap test walks the testcase's few mix entries
-// with point lookups into the defect's affected set instead of ranging it.
+// detectableFlat is DetectableBy over the suite index: identical result,
+// no map iteration — the overlap test intersects the testcase's used-
+// instruction set with the defect's affected set, word by word.
 func detectableFlat(tc *Testcase, d *defect.Defect) bool {
 	if d.Class == model.ClassConsistency && !tc.MultiThreaded {
 		return false
 	}
-	overlap := false
-	for i := range tc.flatMix {
-		u := &tc.flatMix[i]
-		if u.Usage > 0 && d.AffectedInstrs[u.Instr] {
-			overlap = true
-			break
-		}
-	}
-	if !overlap {
+	if !tc.uses.Intersects(&d.AffectedInstrs) {
 		return false
 	}
 	if d.Class == model.ClassComputation {
@@ -106,7 +99,7 @@ func detectableFlat(tc *Testcase, d *defect.Defect) bool {
 func settingStressFlat(tc *Testcase, d *defect.Defect) float64 {
 	total := 0.0
 	for i := range tc.flatMix {
-		if d.AffectedInstrs[tc.flatMix[i].Instr] {
+		if d.AffectedInstrs.Has(tc.flatMix[i].Instr) {
 			total += tc.flatMix[i].Usage
 		}
 	}

@@ -124,7 +124,7 @@ func TestContextRecordsProduced(t *testing.T) {
 	for _, rec := range res.Records {
 		if rec.HasContext {
 			withCtx++
-			if !d.AffectedInstrs[rec.ContextInstr] {
+			if !d.AffectedInstrs.Has(rec.ContextInstr) {
 				t.Fatalf("context instruction %v not defective", rec.ContextInstr)
 			}
 			tc := f.suite.ByID(rec.TestcaseID)

@@ -123,8 +123,9 @@ func DetectableBy(tc *Testcase, d *defect.Defect) bool {
 	if d.Class == model.ClassConsistency && !tc.MultiThreaded {
 		return false
 	}
+	var buf [16]model.InstrID
 	overlap := false
-	for id := range d.AffectedInstrs {
+	for _, id := range d.AffectedInstrs.AppendIDs(buf[:0]) {
 		if tc.UsesInstr(id) {
 			overlap = true
 			break

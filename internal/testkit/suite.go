@@ -63,10 +63,12 @@ type Testcase struct {
 	IterPerSec float64
 
 	// flatMix is Mix flattened into a slice sorted by instruction, built
-	// once by Suite.buildIndex (nil in a reference suite); ord is the
-	// testcase's position in Suite.Testcases. Both are hot-path indexes,
-	// invisible to Fingerprint and the cache keys derived from it.
+	// once by Suite.buildIndex (nil in a reference suite); uses is the set
+	// of instructions it uses (positive usage) and ord the testcase's
+	// position in Suite.Testcases. All are hot-path indexes, invisible to
+	// Fingerprint and the cache keys derived from it.
 	flatMix []InstrUsage
+	uses    model.InstrSet
 	ord     int
 }
 
@@ -101,9 +103,10 @@ type Suite struct {
 	rng       *simrand.Source
 
 	// instrUsers and byFeature are the buildIndex query indexes (nil in a
-	// reference suite); reference marks a NewReferenceSuite construction,
-	// which pins every consumer to the retained naive scan paths.
-	instrUsers map[model.InstrID][]*Testcase
+	// reference suite); instrUsers is indexed by InstrID.Index. reference
+	// marks a NewReferenceSuite construction, which pins every consumer to
+	// the retained naive scan paths.
+	instrUsers [][]*Testcase
 	byFeature  map[model.Feature][]*Testcase
 	reference  bool
 }
@@ -293,7 +296,10 @@ func (s *Suite) ByFeature(f model.Feature) []*Testcase {
 // across callers — do not mutate.
 func (s *Suite) InstrUsers(id model.InstrID) []*Testcase {
 	if s.instrUsers != nil {
-		return s.instrUsers[id]
+		if i, ok := id.Index(); ok {
+			return s.instrUsers[i]
+		}
+		return nil
 	}
 	var out []*Testcase
 	for _, tc := range s.Testcases {

@@ -121,8 +121,8 @@ func (p *Package) NCores() int { return p.nCores }
 // SetLoad sets core's utilization (0..1) and workload power intensity
 // (1 = nominal; heavy vector code > 1). Out-of-range cores panic.
 func (p *Package) SetLoad(core int, util, intensity float64) {
-	if core < 0 || core >= p.nCores {
-		panic(fmt.Sprintf("thermal: core %d out of range [0,%d)", core, p.nCores))
+	if uint(core) >= uint(p.nCores) {
+		panic(coreRangeError{core, p.nCores})
 	}
 	p.load[core] = clamp(util, 0, 1)
 	p.intensity[core] = max(intensity, 0)
@@ -208,11 +208,20 @@ func (p *Package) PackageTempC() float64 { return p.tempC }
 // CoreTempC returns the temperature core reads: package temperature plus
 // its static offset plus the local hotspot contribution of its own load.
 func (p *Package) CoreTempC(core int) float64 {
-	if core < 0 || core >= p.nCores {
-		panic(fmt.Sprintf("thermal: core %d out of range [0,%d)", core, p.nCores))
+	if uint(core) >= uint(p.nCores) {
+		panic(coreRangeError{core, p.nCores})
 	}
 	t := p.tempC + p.offset[core] + p.cfg.LocalHotspotC*p.load[core]*min(p.intensity[core], 1.5)
 	return min(t, p.cfg.MaxTempC)
+}
+
+// coreRangeError is the panic value for an out-of-range core. Its message
+// is formatted out of line, in Error, so CoreTempC — called per core per
+// step — stays within the inlining budget.
+type coreRangeError struct{ core, nCores int }
+
+func (e coreRangeError) Error() string {
+	return fmt.Sprintf("thermal: core %d out of range [0,%d)", e.core, e.nCores)
 }
 
 // ForceTemp sets the package temperature directly (test hook / preheat).

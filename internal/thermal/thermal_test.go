@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -214,8 +215,9 @@ func TestPreheatTimeout(t *testing.T) {
 func TestSetLoadValidation(t *testing.T) {
 	p := newPkg(t, 4)
 	defer func() {
-		if recover() == nil {
-			t.Error("SetLoad out of range should panic")
+		const want = "thermal: core 4 out of range [0,4)"
+		if got := fmt.Sprint(recover()); got != want {
+			t.Errorf("SetLoad(4) panic = %q, want %q", got, want)
 		}
 	}()
 	p.SetLoad(4, 1, 1)
@@ -223,12 +225,17 @@ func TestSetLoadValidation(t *testing.T) {
 
 func TestCoreTempValidation(t *testing.T) {
 	p := newPkg(t, 4)
-	defer func() {
-		if recover() == nil {
-			t.Error("CoreTempC out of range should panic")
-		}
-	}()
-	p.CoreTempC(-1)
+	for _, core := range []int{-1, 4} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("thermal: core %d out of range [0,4)", core)
+				if got := fmt.Sprint(recover()); got != want {
+					t.Errorf("CoreTempC(%d) panic = %q, want %q", core, got, want)
+				}
+			}()
+			p.CoreTempC(core)
+		}()
+	}
 }
 
 func TestNewValidation(t *testing.T) {
